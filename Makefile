@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos shard-chaos crash cover bench bench-json bench-parallel bench-mvcc bench-overload bench-gate experiments examples fuzz fmt vet ci demo-feed demo-replica trace-smoke overload-smoke clean
+.PHONY: all build test race chaos shard-chaos crash cover bench bench-query bench-json bench-parallel bench-mvcc bench-overload bench-gate experiments examples fuzz fmt vet ci demo-feed demo-replica trace-smoke overload-smoke clean
 
 all: build vet test
 
@@ -14,6 +14,7 @@ ci:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkEval(ConstPath|Wildcard)$$' -benchtime 1x ./internal/query/
 	$(MAKE) trace-smoke
 	$(MAKE) overload-smoke
 	$(MAKE) shard-chaos
@@ -60,6 +61,13 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Query-evaluation layer benchmarks over a pinned 4x1000x5 RelationLike
+# snapshot: the constant-path walk and the wildcard product search
+# (docs/MVCC.md, allocation profile). CI's test job runs them for one
+# iteration so they keep compiling and running.
+bench-query:
+	$(GO) test -run '^$$' -bench 'BenchmarkEval(ConstPath|Wildcard)$$' -benchmem ./internal/query/
 
 # Machine-readable benchmark report: experiment tables plus the E1
 # maintenance micro-benchmarks, written to BENCH_<timestamp>.json

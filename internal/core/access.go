@@ -5,6 +5,7 @@ import (
 
 	"gsv/internal/oem"
 	"gsv/internal/pathexpr"
+	"gsv/internal/query"
 	"gsv/internal/store"
 )
 
@@ -356,11 +357,12 @@ func (a *CentralAccess) EvalCond(n oem.OID, p pathexpr.Path, cond CondTest) ([]o
 	if !inScope(scope, n) {
 		return nil, nil
 	}
-	reached := pathexpr.EvalPath(a.graph(scope), []oem.OID{n}, p)
+	g := &query.ReaderGraph{Reader: a.S, Scope: scope, Visit: func() { a.touch(1) }}
+	reached := pathexpr.EvalPath(g, []oem.OID{n}, p)
 	var out []oem.OID
 	for _, oid := range reached {
-		o, err := a.S.Get(oid)
-		if err != nil {
+		o, ok := a.S.Borrow(oid)
+		if !ok {
 			continue
 		}
 		a.touch(1)
@@ -369,32 +371,6 @@ func (a *CentralAccess) EvalCond(n oem.OID, p pathexpr.Path, cond CondTest) ([]o
 		}
 	}
 	return out, nil
-}
-
-// graph adapts the store to pathexpr.Graph under a scope.
-func (a *CentralAccess) graph(scope map[oem.OID]bool) pathexpr.Graph {
-	return pathexpr.GraphFunc(func(oid oem.OID) []pathexpr.Neighbor {
-		if !inScope(scope, oid) {
-			return nil
-		}
-		kids, err := a.S.Children(oid)
-		if err != nil {
-			return nil
-		}
-		a.touch(1)
-		nbs := make([]pathexpr.Neighbor, 0, len(kids))
-		for _, c := range kids {
-			if !inScope(scope, c) {
-				continue
-			}
-			lbl, err := a.S.Label(c)
-			if err != nil {
-				continue
-			}
-			nbs = append(nbs, pathexpr.Neighbor{Label: lbl, To: c})
-		}
-		return nbs
-	})
 }
 
 // isDelegate reports whether an OID is a semantic delegate OID. Base OIDs

@@ -193,13 +193,9 @@ func (g *GeneralMaintainer) conditionHolds(c query.Cond, binder string, y oem.OI
 			return true, nil
 		}
 		cond := CondTest{Op: v.Op, Literal: v.Literal}
-		reached := pathexpr.Eval(g.forwardGraph(scope), []oem.OID{y}, v.Path)
+		reached := pathexpr.Eval(&query.ReaderGraph{Reader: g.View.Base, Scope: scope}, []oem.OID{y}, v.Path)
 		for _, oid := range reached {
-			o, err := g.View.Base.Get(oid)
-			if err != nil {
-				continue
-			}
-			if cond.HoldsObject(o) {
+			if o, ok := g.View.Base.Borrow(oid); ok && cond.HoldsObject(o) {
 				return true, nil
 			}
 		}
@@ -226,30 +222,6 @@ func (g *GeneralMaintainer) conditionHolds(c query.Cond, binder string, y oem.OI
 	default:
 		return false, fmt.Errorf("core: unknown condition %T", c)
 	}
-}
-
-func (g *GeneralMaintainer) forwardGraph(scope map[oem.OID]bool) pathexpr.Graph {
-	return pathexpr.GraphFunc(func(oid oem.OID) []pathexpr.Neighbor {
-		if scope != nil && !scope[oid] {
-			return nil
-		}
-		kids, err := g.View.Base.Children(oid)
-		if err != nil {
-			return nil
-		}
-		nbs := make([]pathexpr.Neighbor, 0, len(kids))
-		for _, c := range kids {
-			if scope != nil && !scope[c] {
-				continue
-			}
-			lbl, err := g.View.Base.Label(c)
-			if err != nil {
-				continue
-			}
-			nbs = append(nbs, pathexpr.Neighbor{Label: lbl, To: c})
-		}
-		return nbs
-	})
 }
 
 func (g *GeneralMaintainer) scope() (map[oem.OID]bool, error) {

@@ -14,7 +14,6 @@ package oem
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -253,6 +252,6 @@ func (o *Object) EncodedSize() int {
 // SortOIDs sorts a slice of OIDs in place and returns it, for deterministic
 // output in tests and tools.
 func SortOIDs(oids []OID) []OID {
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+	slices.Sort(oids)
 	return oids
 }

@@ -1,6 +1,7 @@
 package pathexpr
 
 import (
+	"slices"
 	"sort"
 
 	"gsv/internal/oem"
@@ -17,7 +18,9 @@ type Neighbor struct {
 // Graph abstracts the data a path evaluation traverses. Implementations
 // return the outgoing neighbors of an object, or nil for atomic, missing or
 // out-of-scope objects (the WITHIN clause is implemented by an adapter that
-// returns nil outside the database).
+// returns nil outside the database). Eval reads each returned slice before
+// its next Out call and never keeps it, so an implementation may reuse one
+// buffer across calls.
 type Graph interface {
 	Out(oem.OID) []Neighbor
 }
@@ -29,13 +32,53 @@ type GraphFunc func(oem.OID) []Neighbor
 func (f GraphFunc) Out(oid oem.OID) []Neighbor { return f(oid) }
 
 // Eval computes the union of N.p over all starting objects N and all
-// instances p of e — the paper's N.e. It runs a product search over
-// (object, residual-expression) pairs using ACI-normalized Brzozowski
-// derivatives, which keeps the state space finite and makes the evaluation
-// safe on cyclic graphs. Results are returned sorted and duplicate-free;
-// starting objects appear in the result when e is nullable.
+// instances p of e — the paper's N.e. Results are returned sorted and
+// duplicate-free; starting objects appear in the result when e is
+// nullable.
+//
+// A constant expression — every simple view's sel_path and cond_path
+// (Section 4.2) — is walked level by level (EvalPath). Any other
+// expression runs a product search over (object, residual-expression)
+// pairs using ACI-normalized Brzozowski derivatives, which keeps the
+// state space finite and makes the evaluation safe on cyclic graphs.
 func Eval(g Graph, start []oem.OID, e Expr) []oem.OID {
 	e = Normalize(e)
+	if p, ok := IsConst(e); ok {
+		return EvalPath(g, start, p)
+	}
+	return product(g, start, e)
+}
+
+// EvalPath computes N.p for a constant path: the objects reached from any
+// start by following exactly the labels of p. It walks one label per
+// level, keeping each level's frontier sorted and duplicate-free, so an
+// object shared by several parents (a DAG) is expanded once per level and
+// a cycle cannot loop: the walk ends after len(p) levels.
+func EvalPath(g Graph, start []oem.OID, p Path) []oem.OID {
+	cur := sortedSet(append([]oem.OID(nil), start...))
+	var next []oem.OID
+	for _, label := range p {
+		next = next[:0]
+		for _, oid := range cur {
+			for _, nb := range g.Out(oid) {
+				if nb.Label == label {
+					next = append(next, nb.To)
+				}
+			}
+		}
+		cur, next = sortedSet(next), cur
+	}
+	return cur
+}
+
+// sortedSet sorts oids and drops duplicates in place.
+func sortedSet(oids []oem.OID) []oem.OID {
+	slices.Sort(oids)
+	return slices.Compact(oids)
+}
+
+// product is Eval's search for non-constant expressions; e is normalized.
+func product(g Graph, start []oem.OID, e Expr) []oem.OID {
 	if e.isEmpty() {
 		return nil
 	}
@@ -96,12 +139,6 @@ func Eval(g Graph, start []oem.OID, e Expr) []oem.OID {
 		out = append(out, oid)
 	}
 	return oem.SortOIDs(out)
-}
-
-// EvalPath computes N.p for a constant path: the objects reached from any
-// start by following exactly the labels of p.
-func EvalPath(g Graph, start []oem.OID, p Path) []oem.OID {
-	return Eval(g, start, Const(p))
 }
 
 // Normalize rewrites e into an ACI-canonical form: alternations are

@@ -3,11 +3,12 @@
 // sequence of labels separated by dots (professor.student); a path
 // expression is a regular expression of paths, with "?" matching any single
 // label and "*" matching any path (zero or more labels). The package
-// compiles expressions to NFAs, evaluates them over graphs via a product
-// construction that is safe on cyclic data, tests whether a constant path
-// is an instance of an expression, and computes Brzozowski derivatives —
-// the residual expression after consuming a path prefix — which the
-// wildcard-view maintenance extension relies on.
+// evaluates expressions over graphs (constant paths by a level-by-level
+// walk, the rest by a product construction that is safe on cyclic data),
+// tests whether a constant path is an instance of an expression, and
+// computes Brzozowski derivatives — the residual expression after
+// consuming a path prefix — which the wildcard-view maintenance extension
+// relies on.
 package pathexpr
 
 import (

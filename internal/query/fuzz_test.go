@@ -1,8 +1,10 @@
 package query
 
 import (
+	"slices"
 	"testing"
 
+	"gsv/internal/oem"
 	"gsv/internal/pathexpr"
 )
 
@@ -23,6 +25,9 @@ func FuzzParse(f *testing.F) {
 		"DEFINE VIEW V AS: SELECT ROOT.a X",
 		"\x00\xff",
 		"SELECT R.a X WHERE X.b = 'unterminated",
+		"SELECT REL.r0.tuple X WHERE X.age > 40",
+		"SELECT n0.(a|zz).b X WHERE X.c.(zz)* > 5 OR EXISTS X WITHIN DB1 ANS INT DB2",
+		"SELECT n0.a.b.(zz)* X WHERE X > 3 AND EXISTS X.(a|zz)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -43,13 +48,27 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// fuzzGraph is a small cyclic graph with shared children and repeated
+// labels for FuzzParsePathExpr's evaluation check.
+var fuzzGraph = pathexpr.GraphFunc(func(oid oem.OID) []pathexpr.Neighbor {
+	return map[oem.OID][]pathexpr.Neighbor{
+		"R": {{Label: "a", To: "A"}, {Label: "a", To: "B"}, {Label: "b", To: "C"}},
+		"A": {{Label: "b", To: "C"}, {Label: "c", To: "R"}, {Label: "d", To: "GONE"}},
+		"B": {{Label: "b", To: "C"}, {Label: "a", To: "B"}},
+		"C": {{Label: "c", To: "A"}, {Label: "d", To: "D"}},
+	}[oid]
+})
+
 // FuzzParsePathExpr checks the path-expression parser the same way, and
 // additionally that accepted expressions survive Normalize without
-// changing acceptance of a probe path.
+// changing acceptance of a probe path, and that evaluation agrees with
+// the expression's alternation with a label no object carries — which
+// sends a constant expression's twin through the product search.
 func FuzzParsePathExpr(f *testing.F) {
 	seeds := []string{
 		"", "a", "a.b", "*", "?", "a.*", "(a|b).c", "a*", "(a.b)*", "a.(b|c)*.d",
 		"((((a))))", "a|", "(a", "a..b", "*.?.*",
+		"a.b.c", "a.(b.c)", "(a|zz).b", "a.b.(zz)*", "a.a.b.c.d",
 	}
 	for _, s := range seeds {
 		f.Add(s, "a.b")
@@ -77,6 +96,12 @@ func FuzzParsePathExpr(f *testing.F) {
 		n := pathexpr.Normalize(e)
 		if pathexpr.Matches(e, p) != pathexpr.Matches(n, p) {
 			t.Fatalf("Normalize changed acceptance of %q for %q", probe, input)
+		}
+		start := []oem.OID{"R", "B"}
+		got := pathexpr.Eval(fuzzGraph, start, e)
+		want := pathexpr.Eval(fuzzGraph, start, pathexpr.Alt(e, pathexpr.Label("zz")))
+		if !slices.Equal(got, want) {
+			t.Fatalf("Eval(%q) = %v, but %v with an absent alternative", input, got, want)
 		}
 	})
 }

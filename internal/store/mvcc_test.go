@@ -201,3 +201,34 @@ func TestSnapshotConsistencySoak(t *testing.T) {
 	}
 	verifySnapshotCoherent(t, s.Snapshot())
 }
+
+// TestBorrowSharesTheVersionObject checks the borrowed-read contract: a
+// borrow is the version's own object (no copy), it stays frozen at the
+// pinned version while writers commit, and a closed snapshot lends
+// nothing.
+func TestBorrowSharesTheVersionObject(t *testing.T) {
+	s := buildPerson(t, DefaultOptions())
+	snap := s.Snapshot()
+	b1, ok1 := snap.Borrow("A1")
+	b2, ok2 := s.Borrow("A1")
+	if !ok1 || !ok2 || b1 != b2 {
+		t.Fatalf("Borrow(A1) = %p/%v and %p/%v, want the same shared object", b1, ok1, b2, ok2)
+	}
+	if _, ok := s.Borrow("NOSUCH"); ok {
+		t.Fatal("Borrow of a missing OID reported ok")
+	}
+	old := b1.Atom
+	if err := s.Modify("A1", oem.Int(99)); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := snap.Borrow("A1"); b != b1 || !b.Atom.Equal(old) {
+		t.Fatalf("pinned borrow moved to %v, want %v", b.Atom, old)
+	}
+	if b, _ := s.Borrow("A1"); !b.Atom.Equal(oem.Int(99)) || !b1.Atom.Equal(old) {
+		t.Fatalf("current borrow = %v, earlier borrow = %v", b.Atom, b1.Atom)
+	}
+	snap.Close()
+	if _, ok := snap.Borrow("A1"); ok {
+		t.Fatal("closed snapshot lent an object")
+	}
+}

@@ -159,6 +159,12 @@ func (s *Store) Get(oid oem.OID) (*oem.Object, error) {
 	return readGet(s.cur.Load(), oid)
 }
 
+// Borrow returns the shared, never-to-be-mutated object named by oid in
+// the current version (see Reader).
+func (s *Store) Borrow(oid oem.OID) (*oem.Object, bool) {
+	return s.cur.Load().get(oid)
+}
+
 // Has reports whether oid names an object in the store.
 func (s *Store) Has(oid oem.OID) bool {
 	_, ok := s.cur.Load().get(oid)

@@ -50,6 +50,10 @@ type Reader interface {
 	Len() int
 	Seq() uint64
 	Get(oid oem.OID) (*oem.Object, error)
+	// Borrow returns the shared immutable version object named by oid,
+	// without the copy Get makes. Never mutate it: the same pointer is
+	// visible to every reader of that version, now and later.
+	Borrow(oid oem.OID) (*oem.Object, bool)
 	Has(oid oem.OID) bool
 	HasChild(parent, child oem.OID) bool
 	Label(oid oem.OID) (string, error)
@@ -238,6 +242,15 @@ func (sn *Snapshot) Get(oid oem.OID) (*oem.Object, error) {
 		return nil, err
 	}
 	return readGet(v, oid)
+}
+
+// Borrow returns the shared, never-to-be-mutated object named by oid at
+// the pinned version (see Reader). It reports false on a closed snapshot.
+func (sn *Snapshot) Borrow(oid oem.OID) (*oem.Object, bool) {
+	if sn.closed.Load() {
+		return nil, false
+	}
+	return sn.v.get(oid)
 }
 
 // Has reports whether oid names an object at the pinned version.

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -84,8 +86,9 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 // startOverloadServer serves a PERSON source with the given admission
-// controller attached.
-func startOverloadServer(t *testing.T, ac *AdmissionController) (*Server, string) {
+// controller attached. configure hooks run before Serve starts, the only
+// time server fields may be set.
+func startOverloadServer(t *testing.T, ac *AdmissionController, configure ...func(*Server)) (*Server, string) {
 	t.Helper()
 	s := store.NewDefault()
 	workload.PersonDB(s)
@@ -93,6 +96,9 @@ func startOverloadServer(t *testing.T, ac *AdmissionController) (*Server, string
 	src.DrainReports()
 	server := NewServer(src)
 	server.Admission = ac
+	for _, f := range configure {
+		f(server)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +238,7 @@ func TestServeSurvivesTransientAcceptErrors(t *testing.T) {
 // instead of holding a goroutine and conn slot forever.
 func TestIdleTimeoutReapsConns(t *testing.T) {
 	ac := NewAdmissionController(AdmissionConfig{})
-	server, addr := startOverloadServer(t, ac)
-	server.IdleTimeout = 50 * time.Millisecond
+	server, addr := startOverloadServer(t, ac, func(s *Server) { s.IdleTimeout = 50 * time.Millisecond })
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -244,7 +249,12 @@ func TestIdleTimeoutReapsConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return server.ConnCount() == 1 })
-	// Silence. The server must hang up on its own.
+	// Silence. The server must hang up on its own: the client sees EOF or
+	// a reset well before its own read deadline.
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("idle connection: read returned %v, want EOF or a reset from the server hanging up", err)
+	}
 	waitFor(t, func() bool { return server.ConnCount() == 0 })
 	waitFor(t, func() bool { return ac.Conns() == 0 })
 }

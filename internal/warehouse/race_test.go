@@ -1,12 +1,14 @@
 package warehouse
 
 import (
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
 
 	"gsv/internal/obs"
 	"gsv/internal/oem"
+	"gsv/internal/pathexpr"
 	"gsv/internal/query"
 	"gsv/internal/store"
 	"gsv/internal/workload"
@@ -123,4 +125,113 @@ func TestConcurrentBroadcastQueryBacksAndStats(t *testing.T) {
 	if src.Stats.Queries.Value() == 0 {
 		t.Fatal("wrapper answered no queries")
 	}
+}
+
+// TestFetchQueryPinnedUnderModifyStorm is the torn-read regression for
+// FetchQuery and FetchQueryAt: evaluation and the member fetch must read
+// one pinned version. The query selects the age atoms themselves, so a
+// member evaluated at one version and fetched at a later one shows up as
+// a returned value that fails the condition.
+func TestFetchQueryPinnedUnderModifyStorm(t *testing.T) {
+	s := store.NewDefault()
+	workload.RelationLike(s, workload.RelationConfig{Relations: 1, TuplesPerRelation: 200, FieldsPerTuple: 2, Seed: 3})
+	src := NewSource("rel", s, "REL", Level2, NewTransport(0))
+	src.DrainReports()
+	ages := s.ByLabel("age")
+	q := query.MustParse("SELECT REL.r0.tuple.age X WHERE X > 50")
+	limit := oem.Int(50)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := src.Modify(ages[rng.Intn(len(ages))], oem.Int(int64(rng.Intn(100)))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	for i := 0; i < 300; i++ {
+		var at uint64 // current version on even rounds
+		if i%2 == 1 {
+			at = s.Seq() - 1
+		}
+		objs, err := src.FetchQueryAt(q, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(objs) == 0 {
+			t.Fatal("empty answer")
+		}
+		for _, o := range objs {
+			if !o.IsAtomic() || !query.OpGt.Apply(o.Atom, limit) {
+				t.Fatalf("round %d (at %d): member %s = %v fails the query at the answered version", i, at, o.OID, o.Atom)
+			}
+		}
+	}
+}
+
+// TestFetchPathConcurrentWithQueryBacks is the regression for the
+// FetchPath data race: FetchPath used the source's shared CentralAccess
+// without accessMu while FetchEval and FetchAncestor installed and
+// cleared its Stats pointer. Level 3 enrichment of concurrent updates
+// walks the same path code. Run under -race.
+func TestFetchPathConcurrentWithQueryBacks(t *testing.T) {
+	src, _ := newPersonSource(t, Level3)
+	before := src.Stats.ObjectsTouched.Value()
+	if _, ok, err := src.FetchPath("A3"); err != nil || !ok {
+		t.Fatalf("FetchPath: %v %v", ok, err)
+	}
+	if src.Stats.ObjectsTouched.Value() == before {
+		t.Fatal("FetchPath counted no touched objects")
+	}
+
+	age := pathexpr.MustParsePath("age")
+	profAge := pathexpr.MustParsePath("professor.age")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				var err error
+				switch g {
+				case 0:
+					var ok bool
+					if _, ok, err = src.FetchPath("A3"); err == nil && !ok {
+						t.Error("FetchPath(A3) found no path")
+						return
+					}
+				case 1:
+					_, err = src.FetchEval("ROOT", profAge)
+				case 2:
+					var y oem.OID
+					if y, _, err = src.FetchAncestor("A1", age); err == nil && y != "P1" {
+						t.Errorf("FetchAncestor(A1, age) = %q, want P1", y)
+						return
+					}
+				default:
+					_, err = src.Modify("A1", oem.Int(int64(30+i%40)))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -83,9 +83,9 @@ type Source struct {
 	Transport *Transport
 
 	access *core.CentralAccess
-	// accessMu serializes the access.Stats install/clear in FetchAncestor
-	// and FetchEval: concurrent server query goroutines would otherwise
-	// stomp each other's AccessStats pointer.
+	// accessMu serializes every use of access (see withAccess): its Stats
+	// pointer is installed and cleared per call, and concurrent server
+	// query goroutines would otherwise stomp each other's counters.
 	accessMu sync.Mutex
 	// pendingMu guards pending: the store.Subscribe callback appends from
 	// whatever goroutine mutates the store, while DrainReports swaps the
@@ -214,20 +214,35 @@ func (s *Source) enrich(u store.Update) *UpdateReport {
 	addObj(u.N1)
 	addObj(u.N2)
 	if s.Level >= Level3 {
-		if p, ok, err := s.pathWithOIDs(u.N1); err == nil && ok {
-			r.Path = p
-		}
+		s.withAccess(func(a *core.CentralAccess) {
+			if p, ok, err := s.pathWithOIDs(a, u.N1); err == nil && ok {
+				r.Path = p
+			}
+		})
 	}
 	s.Transport.OneWay(r.EncodedSize(), len(r.Objects))
 	return r
 }
 
-// pathWithOIDs computes path(ROOT, n) together with the OIDs along it.
-func (s *Source) pathWithOIDs(n oem.OID) (*PathInfo, bool, error) {
+// withAccess runs fn against the shared CentralAccess, serialized on
+// accessMu, and returns the objects fn touched.
+func (s *Source) withAccess(fn func(a *core.CentralAccess)) uint64 {
+	st := core.AccessStats{}
+	s.accessMu.Lock()
+	defer s.accessMu.Unlock()
+	s.access.Stats = &st
+	fn(s.access)
+	s.access.Stats = nil
+	return uint64(st.ObjectsTouched)
+}
+
+// pathWithOIDs computes path(ROOT, n) together with the OIDs along it. a
+// is the CentralAccess handed out by withAccess.
+func (s *Source) pathWithOIDs(a *core.CentralAccess, n oem.OID) (*PathInfo, bool, error) {
 	if n == s.Root {
 		return &PathInfo{}, true, nil
 	}
-	p, ok, err := s.access.Path(s.Root, n)
+	p, ok, err := a.Path(s.Root, n)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -291,28 +306,25 @@ func (s *Source) FetchObject(oid oem.OID) (*oem.Object, error) {
 }
 
 // FetchPath answers "fetch the path from ROOT to n" (with OIDs).
-func (s *Source) FetchPath(n oem.OID) (*PathInfo, bool, error) {
+func (s *Source) FetchPath(n oem.OID) (info *PathInfo, ok bool, err error) {
 	s.Stats.Queries.Inc()
-	p, ok, err := s.pathWithOIDs(n)
+	s.Stats.ObjectsTouched.Add(s.withAccess(func(a *core.CentralAccess) {
+		info, ok, err = s.pathWithOIDs(a, n)
+	}))
 	bytes := 8
 	if ok {
-		bytes = len(p.OIDs) * 16
-		s.Stats.ObjectsTouched.Add(uint64(len(p.OIDs)))
+		bytes = len(info.OIDs) * 16
 	}
 	s.Transport.RoundTrip(len(n)+16, bytes, 0)
-	return p, ok, err
+	return info, ok, err
 }
 
 // FetchAncestor answers "fetch X where path(X, n) = p".
-func (s *Source) FetchAncestor(n oem.OID, p pathexpr.Path) (oem.OID, bool, error) {
+func (s *Source) FetchAncestor(n oem.OID, p pathexpr.Path) (y oem.OID, ok bool, err error) {
 	s.Stats.Queries.Inc()
-	st := core.AccessStats{}
-	s.accessMu.Lock()
-	s.access.Stats = &st
-	y, ok, err := s.access.Ancestor(n, p)
-	s.access.Stats = nil
-	s.accessMu.Unlock()
-	s.Stats.ObjectsTouched.Add(uint64(st.ObjectsTouched))
+	s.Stats.ObjectsTouched.Add(s.withAccess(func(a *core.CentralAccess) {
+		y, ok, err = a.Ancestor(n, p)
+	}))
 	s.Transport.RoundTrip(len(n)+len(p.String())+16, 24, 0)
 	return y, ok, err
 }
@@ -321,13 +333,11 @@ func (s *Source) FetchAncestor(n oem.OID, p pathexpr.Path) (oem.OID, bool, error
 // warehouse tests the condition locally, as in Example 9.
 func (s *Source) FetchEval(n oem.OID, p pathexpr.Path) ([]*oem.Object, error) {
 	s.Stats.Queries.Inc()
-	st := core.AccessStats{}
-	s.accessMu.Lock()
-	s.access.Stats = &st
-	oids, err := s.access.EvalCond(n, p, core.CondTest{Always: true})
-	s.access.Stats = nil
-	s.accessMu.Unlock()
-	s.Stats.ObjectsTouched.Add(uint64(st.ObjectsTouched))
+	var oids []oem.OID
+	var err error
+	s.Stats.ObjectsTouched.Add(s.withAccess(func(a *core.CentralAccess) {
+		oids, err = a.EvalCond(n, p, core.CondTest{Always: true})
+	}))
 	if err != nil {
 		s.Transport.RoundTrip(len(n)+16, 8, 0)
 		return nil, err
@@ -382,44 +392,33 @@ func (s *Source) FetchSubtree(n oem.OID, depth int) ([]*oem.Object, error) {
 }
 
 // FetchQuery evaluates a full view query at the source — used for the
-// initial materialization of a warehouse view.
+// initial materialization of a warehouse view. It is FetchQueryAt at the
+// current version.
 func (s *Source) FetchQuery(q *query.Query) ([]*oem.Object, error) {
-	s.Stats.Queries.Inc()
-	members, err := query.NewEvaluator(s.Store).Eval(q)
-	if err != nil {
-		s.Transport.RoundTrip(64, 8, 0)
-		return nil, err
-	}
-	out := make([]*oem.Object, 0, len(members))
-	bytes := 0
-	for _, m := range members {
-		if o, err := s.Store.Get(m); err == nil {
-			out = append(out, o)
-			bytes += o.EncodedSize()
-			s.Stats.ObjectsTouched.Inc()
-		}
-	}
-	s.Transport.RoundTrip(len(q.String()), bytes+8, len(out))
-	return out, nil
+	return s.FetchQueryAt(q, 0)
 }
 
-// FetchQueryAt implements SeqQuerier: it evaluates q against the store
-// snapshot pinned at sequence number at, so the answer reflects exactly
-// the updates with Seq <= at — no interference from updates racing the
+// FetchQueryAt implements SeqQuerier: it evaluates q and fetches the
+// members from one pinned snapshot, at sequence number at, so the answer
+// reflects exactly the updates with Seq <= at and every returned member
+// satisfies q at that version — no interference from updates racing the
 // fetch. A resync uses it to make its replay bound exact (staleness.go).
 // at == 0, a sequence the version ring has already reclaimed, or one the
-// store has not reached yet all degrade to the current state, which is
+// store has not reached yet all degrade to the current version, which is
 // a superset of `at` and therefore still a correct (conservative) bound.
 func (s *Source) FetchQueryAt(q *query.Query, at uint64) ([]*oem.Object, error) {
-	if at == 0 || at >= s.Store.Seq() {
-		return s.FetchQuery(q)
+	s.Stats.Queries.Inc()
+	reqBytes := len(q.String())
+	var snap *store.Snapshot
+	if at != 0 && at < s.Store.Seq() {
+		if sn, err := s.Store.SnapshotAt(at); err == nil {
+			snap, reqBytes = sn, reqBytes+8
+		}
 	}
-	snap, err := s.Store.SnapshotAt(at)
-	if err != nil {
-		return s.FetchQuery(q)
+	if snap == nil {
+		snap = s.Store.Snapshot()
 	}
 	defer snap.Close()
-	s.Stats.Queries.Inc()
 	members, err := query.NewEvaluator(snap).Eval(q)
 	if err != nil {
 		s.Transport.RoundTrip(64, 8, 0)
@@ -434,7 +433,7 @@ func (s *Source) FetchQueryAt(q *query.Query, at uint64) ([]*oem.Object, error) 
 			s.Stats.ObjectsTouched.Inc()
 		}
 	}
-	s.Transport.RoundTrip(len(q.String())+8, bytes+8, len(out))
+	s.Transport.RoundTrip(reqBytes, bytes+8, len(out))
 	return out, nil
 }
 
