@@ -721,17 +721,38 @@ func saveCursorState(path, view string, cursor uint64) error {
 	return os.Rename(tmp, path)
 }
 
+// feedIdleTimeout bounds a follow's dial and handshake and each wait for
+// the next frame. The server's progress heartbeats (500ms by default)
+// keep a live stream talking, so a silence this long means a dead or
+// hung peer, and the follow redials. It matches the replica's default
+// FeedIdleTimeout; tests shorten it.
+var feedIdleTimeout = 30 * time.Second
+
+// dialFollow subscribes to cfg.view, resuming after cursor from when
+// resume is set. snapshot asks for snapshot fallback should that cursor
+// have been evicted; it never requests a bootstrap snapshot on a tail.
+func dialFollow(cfg followConfig, resume bool, from uint64, snapshot bool) (*warehouse.MultiFeedClient, error) {
+	req := warehouse.MultiFeedRequest{
+		Views: []string{cfg.view}, Snapshot: snapshot && resume, Policy: cfg.policy,
+		IOTimeout: feedIdleTimeout, ReadTimeout: feedIdleTimeout,
+	}
+	if resume {
+		req.Froms = map[string]uint64{cfg.view: from}
+	}
+	return warehouse.DialMultiFeed(cfg.addr, req)
+}
+
 // followFeed tails a server-maintained view's changefeed, printing one
-// line per delta event. A broken stream (server restart, network fault)
-// is redialed with the last consumed cursor, so no events are missed as
-// long as they remain in the server's replay ring; when the cursor has
-// been evicted, the redial falls back to a full-membership snapshot
-// (docs/CHANGEFEED.md) and tails from there.
+// line per delta event. A broken or silent stream (server restart,
+// network fault, hung peer) is redialed with the last consumed cursor,
+// so no events are missed as long as they remain in the server's replay
+// ring; when the cursor has been evicted, the redial falls back to a
+// full-membership snapshot (docs/CHANGEFEED.md) and tails from there.
 func followFeed(out io.Writer, cfg followConfig) error {
-	req := warehouse.FeedRequest{View: cfg.view, Snapshot: cfg.snapshot, Policy: cfg.policy}
+	var resume bool
+	var from uint64
 	if cfg.from >= 0 {
-		req.Resume = true
-		req.From = uint64(cfg.from)
+		resume, from = true, uint64(cfg.from)
 	}
 	if cfg.stateFile != "" {
 		st, ok, err := loadCursorState(cfg.stateFile)
@@ -743,12 +764,11 @@ func followFeed(out io.Writer, cfg followConfig) error {
 				return fmt.Errorf("state file %s tracks view %q, not %q (use a separate file per view)",
 					cfg.stateFile, st.View, cfg.view)
 			}
-			req.Resume = true
-			req.From = st.Cursor
+			resume, from = true, st.Cursor
 			fmt.Fprintf(out, "resuming %s after cursor %d from %s\n", cfg.view, st.Cursor, cfg.stateFile)
 		}
 	}
-	fc, err := warehouse.DialFeed(cfg.addr, req)
+	fc, err := dialFollow(cfg, resume, from, cfg.snapshot)
 	if err != nil {
 		if errors.Is(err, feed.ErrCursorExpired) {
 			return fmt.Errorf("%w (rerun with -snapshot to recover from a full snapshot)", err)
@@ -760,7 +780,7 @@ func followFeed(out io.Writer, cfg followConfig) error {
 	// under mu so the timer always closes the current connection.
 	var mu sync.Mutex
 	cur := fc
-	setCur := func(c *warehouse.FeedClient) {
+	setCur := func(c *warehouse.MultiFeedClient) {
 		mu.Lock()
 		cur = c
 		mu.Unlock()
@@ -775,21 +795,22 @@ func followFeed(out io.Writer, cfg followConfig) error {
 	var deadline time.Time
 	if cfg.dur > 0 {
 		deadline = time.Now().Add(cfg.dur)
-		// FeedClient.Next has no timeout of its own; closing the client
-		// unblocks it when the watch window ends.
+		// Closing the client unblocks a pending Next when the watch
+		// window ends.
 		timer := time.AfterFunc(cfg.dur, closeCur)
 		defer timer.Stop()
 	}
 	expired := func() bool { return !deadline.IsZero() && !time.Now().Before(deadline) }
 
-	fmt.Fprintf(out, "following %s at cursor %d (oldest retained %d)\n", fc.View, fc.Cursor, fc.Oldest)
-	lastCursor := fc.Cursor
-	if req.Resume {
-		lastCursor = req.From
+	hello := fc.Views[0]
+	fmt.Fprintf(out, "following %s at cursor %d (oldest retained %d)\n", hello.View, hello.Cursor, hello.Oldest)
+	lastCursor := hello.Cursor
+	if resume {
+		lastCursor = from
 	}
-	if fc.Snapshot != nil {
-		fmt.Fprintf(out, "snapshot@%d value(%s) = %v\n", fc.Snapshot.Cursor, fc.View, fc.Snapshot.Members)
-		lastCursor = fc.Snapshot.Cursor
+	if hello.Snapshot != nil {
+		fmt.Fprintf(out, "snapshot@%d value(%s) = %v\n", hello.Snapshot.Cursor, hello.View, hello.Snapshot.Members)
+		lastCursor = hello.Snapshot.Cursor
 	}
 	// persist acknowledges lastCursor in the state file; a write failure
 	// is reported but does not end the follow (the stream is still good).
@@ -805,13 +826,13 @@ func followFeed(out io.Writer, cfg followConfig) error {
 
 	n := 0
 	for cfg.maxEvents == 0 || n < cfg.maxEvents {
-		ev, err := cur.Next()
+		fr, err := cur.Next()
 		if err != nil {
 			if expired() {
 				break // our own deadline closed the stream
 			}
-			// The stream broke (err may be io.EOF on a clean server
-			// shutdown): redial with the last consumed cursor.
+			// The stream broke or went silent (err may be io.EOF on a
+			// clean server shutdown): redial with the last consumed cursor.
 			nc, newLast, rerr := redialFeed(out, cfg, lastCursor, deadline)
 			if nc == nil {
 				if expired() {
@@ -829,6 +850,10 @@ func followFeed(out io.Writer, cfg followConfig) error {
 			}
 			continue
 		}
+		ev := fr.Event
+		if ev == nil {
+			continue // progress heartbeat
+		}
 		fmt.Fprintf(out, "cursor=%d seq=%d %s(%s) +%v -%v\n",
 			ev.Cursor, ev.Seq, ev.Kind, ev.N1, ev.Insert, ev.Delete)
 		lastCursor = ev.Cursor
@@ -844,29 +869,26 @@ func followFeed(out io.Writer, cfg followConfig) error {
 // server's replay ring it falls back to a snapshot subscription. It
 // returns the new client and the cursor to resume from next time (the
 // snapshot position, when one was taken).
-func redialFeed(out io.Writer, cfg followConfig, lastCursor uint64, deadline time.Time) (*warehouse.FeedClient, uint64, error) {
+func redialFeed(out io.Writer, cfg followConfig, lastCursor uint64, deadline time.Time) (*warehouse.MultiFeedClient, uint64, error) {
 	var lastErr error
 	for attempt := 0; deadline.IsZero() || time.Now().Before(deadline); attempt++ {
 		if attempt > 0 {
 			time.Sleep(50 * time.Millisecond)
 		}
-		req := warehouse.FeedRequest{
-			View: cfg.view, Resume: true, From: lastCursor, Policy: cfg.policy,
-		}
-		fc, err := warehouse.DialFeed(cfg.addr, req)
+		fc, err := dialFollow(cfg, true, lastCursor, false)
 		if errors.Is(err, feed.ErrCursorExpired) {
 			// Events since lastCursor are gone; recover via snapshot.
-			req.Snapshot = true
-			fc, err = warehouse.DialFeed(cfg.addr, req)
+			fc, err = dialFollow(cfg, true, lastCursor, true)
 		}
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		fmt.Fprintf(out, "reconnected to %s at cursor %d (resuming after %d)\n", cfg.view, fc.Cursor, lastCursor)
-		if fc.Snapshot != nil {
-			fmt.Fprintf(out, "snapshot@%d value(%s) = %v\n", fc.Snapshot.Cursor, cfg.view, fc.Snapshot.Members)
-			lastCursor = fc.Snapshot.Cursor
+		hello := fc.Views[0]
+		fmt.Fprintf(out, "reconnected to %s at cursor %d (resuming after %d)\n", cfg.view, hello.Cursor, lastCursor)
+		if hello.Snapshot != nil {
+			fmt.Fprintf(out, "snapshot@%d value(%s) = %v\n", hello.Snapshot.Cursor, cfg.view, hello.Snapshot.Members)
+			lastCursor = hello.Snapshot.Cursor
 		}
 		return fc, lastCursor, nil
 	}

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -223,6 +225,68 @@ func TestFollowFeedSurvivesServerRestart(t *testing.T) {
 		if strings.Count(got, c) != 1 {
 			t.Fatalf("%s seen %d times:\n%s", c, strings.Count(got, c), got)
 		}
+	}
+}
+
+// TestFollowFeedSurvivesSilentPeer: a peer that completes the handshake
+// and then never sends another byte (a hung server, a half-open
+// connection) must not wedge the follow. The idle bound expires, and the
+// follow redials with its last cursor.
+func TestFollowFeedSurvivesSilentPeer(t *testing.T) {
+	saved := feedIdleTimeout
+	feedIdleTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { feedIdleTimeout = saved })
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	requests := make(chan string, 16)
+	go func() {
+		for i := 0; ; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn, silent bool) {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				_, _ = br.ReadString('\n') // mode line
+				req, _ := br.ReadString('\n')
+				select {
+				case requests <- strings.TrimSpace(req):
+				default:
+				}
+				_, _ = io.WriteString(conn, `{"cursor":0,"oldest":0,"seq":9,"views":[{"view":"YP","cursor":3,"oldest":1}]}`+"\n")
+				if !silent {
+					_, _ = io.WriteString(conn, `{"event":{"view":"YP","cursor":4,"seq":10,"kind":"modify","n1":"A1","delete":["P1"]}}`+"\n")
+				}
+				_, _ = io.Copy(io.Discard, br) // hold the connection until the client leaves
+			}(conn, i == 0)
+		}
+	}()
+
+	var out strings.Builder
+	err = followFeed(&out, followConfig{
+		addr: ln.Addr().String(), view: "YP", from: -1, maxEvents: 1, dur: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"following YP at cursor 3 (oldest retained 1)",
+		"reconnected to YP at cursor 3 (resuming after 3)",
+		"cursor=4 seq=10 modify(A1) +[] -[P1]",
+		"followed 1 events on YP",
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("output missing %q:\n%s", want, got)
+		}
+	}
+	if first, redial := <-requests, <-requests; strings.Contains(first, "froms") || !strings.Contains(redial, `"froms":{"YP":3}`) {
+		t.Fatalf("requests = %s then %s, want a tail then a resume after 3", first, redial)
 	}
 }
 

@@ -210,16 +210,20 @@ func TestReplicaServesWireProtocol(t *testing.T) {
 	// cursor numbering.
 	p.toggle(t, 2)
 	waitSynced(t, p, r)
-	fc, err := warehouse.DialFeed(ln.Addr().String(), warehouse.FeedRequest{View: "YP", Resume: true, From: r.Applied("YP") - 2})
+	fc, err := warehouse.DialMultiFeed(ln.Addr().String(), warehouse.MultiFeedRequest{
+		Views: []string{"YP"}, Froms: map[string]uint64{"YP": r.Applied("YP") - 2}, IOTimeout: 5 * time.Second,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fc.Close()
-	ev, err := fc.Next()
-	if err != nil {
-		t.Fatal(err)
+	var fr warehouse.FeedFrame
+	for fr.Event == nil { // skip progress heartbeats
+		if fr, err = fc.Next(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if ev.Cursor != r.Applied("YP")-1 {
+	if ev := fr.Event; ev.Cursor != r.Applied("YP")-1 {
 		t.Fatalf("republished cursor = %d, want %d", ev.Cursor, r.Applied("YP")-1)
 	}
 }

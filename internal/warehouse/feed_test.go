@@ -1,10 +1,14 @@
 package warehouse
 
 import (
-	"errors"
+	"bufio"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"gsv/internal/feed"
 	"gsv/internal/oem"
@@ -284,114 +288,146 @@ func toggleA1(t *testing.T, src *Source, w *Warehouse, n int) {
 	}
 }
 
-// TestFeedOverTCP drives the subscribe connection mode end to end:
-// handshake, live tailing, resume after disconnect, and the
-// expired-cursor snapshot fallback.
+// legacyFeed speaks the single-view subscribe wire byte for byte, the
+// way clients written before the multi-view protocol do: a raw mode line
+// and request frame out, raw lines back.
+type legacyFeed struct {
+	conn net.Conn
+	br   *bufio.Reader
+}
+
+func dialLegacyFeed(t *testing.T, addr, request string) *legacyFeed {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := io.WriteString(conn, "subscribe\n"+request+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	return &legacyFeed{conn: conn, br: bufio.NewReader(conn)}
+}
+
+// next reads one frame line, without its newline.
+func (lf *legacyFeed) next() (string, error) {
+	_ = lf.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	line, err := lf.br.ReadString('\n')
+	return strings.TrimSuffix(line, "\n"), err
+}
+
+// expect reads one frame line and requires it to equal want exactly.
+func (lf *legacyFeed) expect(t *testing.T, want string) {
+	t.Helper()
+	got, err := lf.next()
+	if err != nil {
+		t.Fatalf("reading %s: %v", want, err)
+	}
+	if got != want {
+		t.Fatalf("legacy frame changed:\n got  %s\n want %s", got, want)
+	}
+}
+
+// expectEvent reads one bare event line for a toggleA1 step — cursor c
+// at base sequence seq, P1 leaving (odd c) or returning (even c) — and
+// requires every byte but the trailing trace stamps (origin, trace_id,
+// which carry wall-clock time).
+func (lf *legacyFeed) expectEvent(t *testing.T, c, seq uint64) {
+	t.Helper()
+	delta := `"delete":["P1"]`
+	if c%2 == 0 {
+		delta = `"insert":["P1"]`
+	}
+	want := fmt.Sprintf(`{"view":"YP","cursor":%d,"seq":%d,"kind":"modify","n1":"A1",%s`, c, seq, delta)
+	got, err := lf.next()
+	if err != nil {
+		t.Fatalf("reading event %d: %v", c, err)
+	}
+	if rest, ok := strings.CutPrefix(got, want); !ok || (rest != "}" && !strings.HasPrefix(rest, `,"origin":`)) {
+		t.Fatalf("legacy event changed:\n got  %s\n want %s}", got, want)
+	}
+}
+
+// TestFeedOverTCP pins the legacy single-view subscribe wire end to end
+// at the byte level — handshake, live tailing, resume after disconnect,
+// the expired-cursor error and the snapshot fallback: the server
+// translates these requests to multi-view subscriptions, and an old
+// client must not be able to tell.
 func TestFeedOverTCP(t *testing.T) {
 	src, w, _, addr := startFeedServer(t, 4)
 
-	if _, err := DialFeed(addr, FeedRequest{View: "NOPE"}); err == nil {
-		t.Fatal("subscribing to an unknown view succeeded")
+	// The request lines, as the legacy client encoded them.
+	for _, tc := range []struct {
+		req  feedRequest
+		want string
+	}{
+		{feedRequest{View: "YP"}, `{"view":"YP"}`},
+		{feedRequest{View: "YP", Resume: true, From: 2}, `{"view":"YP","resume":true,"from":2}`},
+		{feedRequest{View: "YP", Resume: true, From: 4, Snapshot: true}, `{"view":"YP","resume":true,"from":4,"snapshot":true}`},
+	} {
+		if got, err := json.Marshal(tc.req); err != nil || string(got) != tc.want {
+			t.Fatalf("request encoding = %s, %v; want %s", got, err, tc.want)
+		}
 	}
 
-	fc, err := DialFeed(addr, FeedRequest{View: "YP"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc.View != "YP" || fc.Cursor != 0 || fc.Snapshot != nil {
-		t.Fatalf("hello = %+v", fc)
-	}
+	dialLegacyFeed(t, addr, `{"view":"NOPE"}`).expect(t, `{"err":"feed: unknown view: NOPE","cursor":0,"oldest":0}`)
+	// "*" is only a wildcard in the multi-view form.
+	dialLegacyFeed(t, addr, `{"view":"*"}`).expect(t, `{"err":"feed: unknown view: *","cursor":0,"oldest":0}`)
+
+	base := src.Store.Seq()
+	lf := dialLegacyFeed(t, addr, `{"view":"YP"}`)
+	lf.expect(t, `{"view":"YP","cursor":0,"oldest":0}`)
 	toggleA1(t, src, w, 2)
-	ev, err := fc.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Cursor != 1 || len(ev.Delete) != 1 || ev.Delete[0] != "P1" {
-		t.Fatalf("event 1 = %+v", ev)
-	}
-	ev, err = fc.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Cursor != 2 || len(ev.Insert) != 1 || ev.Insert[0] != "P1" {
-		t.Fatalf("event 2 = %+v", ev)
-	}
-	fc.Close()
+	lf.expectEvent(t, 1, base+1)
+	lf.expectEvent(t, 2, base+2)
+	// Outlast a progress interval: a legacy stream carries no progress
+	// frames, so the next line is still the next event.
+	time.Sleep(defaultFeedProgressInterval + 200*time.Millisecond)
+	toggleA1(t, src, w, 2)
+	lf.expectEvent(t, 3, base+3)
+	lf.conn.Close()
 
 	// Resume within the ring: no gaps, no duplicates.
-	toggleA1(t, src, w, 2) // cursors 3, 4
-	fc, err = DialFeed(addr, FeedRequest{View: "YP", Resume: true, From: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for want := uint64(3); want <= 4; want++ {
-		ev, err := fc.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Cursor != want {
-			t.Fatalf("resumed cursor = %d, want %d", ev.Cursor, want)
-		}
-	}
-	fc.Close()
+	lf = dialLegacyFeed(t, addr, `{"view":"YP","resume":true,"from":2}`)
+	lf.expect(t, `{"view":"YP","cursor":4,"oldest":1}`)
+	lf.expectEvent(t, 3, base+3)
+	lf.expectEvent(t, 4, base+4)
+	lf.conn.Close()
 
-	// Overflow the 4-slot ring while disconnected: plain resume must fail
-	// with a cursor-expired error the client can distinguish.
+	// Overflow the 4-slot ring while disconnected: plain resume fails
+	// with the expired marker the client keys its snapshot retry on.
 	toggleA1(t, src, w, 8) // cursors 5..12; ring holds 9..12
-	_, err = DialFeed(addr, FeedRequest{View: "YP", Resume: true, From: 4})
-	if !errors.Is(err, feed.ErrCursorExpired) {
-		t.Fatalf("expired resume error = %v", err)
-	}
+	dialLegacyFeed(t, addr, `{"view":"YP","resume":true,"from":4}`).expect(t,
+		`{"err":"feed: cursor expired: resume after 4, oldest retained 9 (ring 4)","expired":true,"cursor":0,"oldest":0}`)
 
-	// Snapshot fallback: full membership plus a tail from the snapshot
-	// cursor.
-	fc, err = DialFeed(addr, FeedRequest{View: "YP", Resume: true, From: 4, Snapshot: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fc.Close()
-	if fc.Snapshot == nil {
-		t.Fatal("no snapshot in fallback hello")
-	}
-	if fc.Snapshot.Cursor != 12 {
-		t.Fatalf("snapshot cursor = %d", fc.Snapshot.Cursor)
-	}
-	// After an even number of toggles P1 is back in the view.
-	if !oem.SameMembers(fc.Snapshot.Members, []oem.OID{"P1"}) {
-		t.Fatalf("snapshot members = %v", fc.Snapshot.Members)
-	}
+	// Snapshot fallback: full membership (after an even number of
+	// toggles P1 is back in), then a tail from the snapshot cursor.
+	lf = dialLegacyFeed(t, addr, `{"view":"YP","resume":true,"from":4,"snapshot":true}`)
+	lf.expect(t, `{"view":"YP","cursor":12,"oldest":9,"snapshot":{"cursor":12,"members":["P1"]}}`)
 	toggleA1(t, src, w, 1)
-	ev, err = fc.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Cursor != 13 || len(ev.Delete) != 1 {
-		t.Fatalf("post-snapshot event = %+v", ev)
-	}
+	lf.expectEvent(t, 13, base+13)
+
+	// Snapshot without resume never meant a bootstrap snapshot.
+	dialLegacyFeed(t, addr, `{"view":"YP","snapshot":true}`).expect(t, `{"view":"YP","cursor":13,"oldest":10}`)
 }
 
-// TestFeedTCPFutureCursor pins the wire error for a cursor beyond the
-// feed's head.
+// TestFeedTCPFutureCursor pins the legacy wire error for a cursor beyond
+// the feed's head: not an expiry, so no snapshot retry.
 func TestFeedTCPFutureCursor(t *testing.T) {
 	_, _, _, addr := startFeedServer(t, 16)
-	_, err := DialFeed(addr, FeedRequest{View: "YP", Resume: true, From: 99})
-	if err == nil || errors.Is(err, feed.ErrCursorExpired) {
-		t.Fatalf("future resume error = %v", err)
-	}
+	dialLegacyFeed(t, addr, `{"view":"YP","resume":true,"from":99}`).expect(t,
+		`{"err":"feed: cursor in the future: resume after 99, view at 0","cursor":0,"oldest":0}`)
 }
 
 // TestFeedTCPServerClose verifies closing the server terminates live
-// subscribe streams rather than leaving clients hanging.
+// legacy subscribe streams rather than leaving clients hanging.
 func TestFeedTCPServerClose(t *testing.T) {
 	_, _, server, addr := startFeedServer(t, 16)
-	fc, err := DialFeed(addr, FeedRequest{View: "YP"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fc.Close()
+	lf := dialLegacyFeed(t, addr, `{"view":"YP"}`)
+	lf.expect(t, `{"view":"YP","cursor":0,"oldest":0}`)
 	server.Close()
-	if _, err := fc.Next(); err == nil {
-		t.Fatal("Next succeeded after server close")
+	if line, err := lf.next(); err == nil {
+		t.Fatalf("read %q after server close", line)
 	} else if err != io.EOF {
 		// A reset is also acceptable; just require termination.
 		t.Logf("stream ended with %v", err)

@@ -3,6 +3,9 @@ package warehouse
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 
 	"gsv/internal/store"
@@ -19,6 +22,7 @@ func FuzzNetFrame(f *testing.F) {
 		[]byte(`{"op":"path","oid":"A1"}`),
 		[]byte(`{"op":"ancestor","oid":"A1","path":"age"}`),
 		[]byte(`{"op":"query","query":"SELECT ROOT.professor X WHERE X.age <= 45"}`),
+		[]byte(`{"op":"queryat","query":"SELECT ROOT.professor X","at":1}`),
 		[]byte(`{"op":"subtree","oid":"P1","depth":2}`),
 		[]byte(`{"op":"nonsense"}`),
 		[]byte(`{"op":"trace","view":"YP"}`),
@@ -53,17 +57,25 @@ func FuzzNetFrame(f *testing.F) {
 			// Unknown ops must be answered with an error frame, never
 			// silently swallowed or crashed on.
 			switch req.Op {
-			case "object", "path", "ancestor", "eval", "subtree", "query":
+			case "object", "path", "ancestor", "eval", "subtree", "query", "queryat":
 			default:
 				if resp.Err == "" {
 					t.Fatalf("unknown op %q produced no error", req.Op)
 				}
 			}
 		}
-		// The subscribe-mode request frame shares the decoder; it must be
-		// equally panic-free on the same input.
+		// The subscribe-mode request frame shares the decoder; it and the
+		// legacy translation must be equally panic-free on the same input,
+		// and translating an already translated request changes nothing.
 		var fr feedRequest
-		_ = decodeFrame(line, &fr)
+		if err := decodeFrame(line, &fr); err == nil {
+			fr.normalize()
+			once := fr
+			once.Views, once.Froms = slices.Clone(fr.Views), maps.Clone(fr.Froms)
+			if fr.normalize() || !reflect.DeepEqual(fr, once) {
+				t.Fatalf("translation not idempotent: %+v after %+v", fr, once)
+			}
+		}
 	})
 }
 

@@ -16,20 +16,26 @@ import (
 	"gsv/internal/feed"
 )
 
-// This file extends the "subscribe" connection mode with a multi-view
-// subscription: a feedRequest whose Views field is non-empty asks for
-// every named view's events (["*"] = every view the hub knows) on one
-// connection, instead of one connection per view. The server's frames
-// become FeedFrame envelopes — either one feed.Event or one FeedProgress
+// This file implements the "subscribe" connection mode. A client sends
+// one feedRequest naming the views to follow (["*"] = every view the hub
+// knows) and gets every named view's events on one connection. The
+// server answers one hello carrying per-view state, then streams
+// FeedFrame envelopes — either one feed.Event or one FeedProgress
 // heartbeat carrying the primary's base sequence number and per-view
 // feed cursors. Progress frames are what let a replica measure its lag
 // even when base updates are screened out of every view (no events flow,
 // but Seq advances); see docs/REPLICA.md.
 //
+// Legacy single-view clients (a request with View but no Views) are
+// served by the same handler: the request is translated to the
+// multi-view form (feedRequest.normalize), and only the framing differs
+// — the hello carries top-level view/cursor/oldest/snapshot and every
+// later line is a bare feed.Event, with no progress frames.
+//
 // Version mismatch: an old server ignores the Views field and subscribes
 // to the empty single-view name, which fails with the hub's unknown-view
 // error for ""; DialMultiFeed maps exactly that shape to
-// ErrUnsupportedRequest so callers can degrade to per-view DialFeed.
+// ErrUnsupportedRequest.
 
 // defaultFeedProgressInterval paces progress frames on multi-view
 // subscriptions.
@@ -63,22 +69,50 @@ type FeedViewHello struct {
 	Snapshot *FeedSnapshot `json:"snapshot,omitempty"`
 }
 
-// handleMultiSubscribe serves one multi-view subscription: subscribe to
-// every requested view, answer one hello carrying per-view state, then
-// interleave events from all views with periodic progress frames on a
-// single writer.
-func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json.Encoder, hub *feed.Hub, req feedRequest) {
+// handleSubscribe serves one subscribe-mode connection: decode and admit
+// the request, subscribe to every requested view, answer one hello
+// carrying per-view state, then interleave events from all views (with
+// periodic progress frames, unless the client speaks the legacy
+// single-view wire) on a single writer.
+func (s *Server) handleSubscribe(conn net.Conn, br *bufio.Reader) {
+	enc := json.NewEncoder(conn)
 	fail := func(err error) {
 		s.armWrite(conn)
 		_ = enc.Encode(feedHello{Err: err.Error(), Expired: errors.Is(err, feed.ErrCursorExpired)})
 	}
+	s.mu.Lock()
+	hub := s.Feed
+	s.mu.Unlock()
+	if hub == nil {
+		fail(errors.New("warehouse: server has no feed"))
+		return
+	}
+	sc := frameScanner(br)
+	s.armRead(conn)
+	if !sc.Scan() {
+		return
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	var req feedRequest
+	if err := decodeFrame(sc.Bytes(), &req); err != nil {
+		fail(err)
+		return
+	}
+	if s.Admission != nil {
+		if !s.Admission.AdmitStream() {
+			fail(ErrOverloaded)
+			return
+		}
+		defer s.Admission.ReleaseStream()
+	}
+	legacy := req.normalize()
 	policy, err := feed.ParsePolicy(req.Policy)
 	if err != nil {
 		fail(err)
 		return
 	}
 	views := req.Views
-	if len(views) == 1 && views[0] == "*" {
+	if !legacy && len(views) == 1 && views[0] == "*" {
 		views = hub.Views()
 		sort.Strings(views)
 	}
@@ -138,10 +172,25 @@ func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json
 	s.feedSubs = append(s.feedSubs, subs...)
 	s.mu.Unlock()
 
+	// The legacy wire has no envelopes: its hello carries the one view's
+	// state at top level, and each later line is a bare event.
 	s.armWrite(conn)
-	if err := enc.Encode(hello); err != nil {
+	if legacy {
+		vh := hello.Views[0]
+		err = enc.Encode(feedHello{View: vh.View, Cursor: vh.Cursor, Oldest: vh.Oldest, Snapshot: vh.Snapshot})
+	} else {
+		err = enc.Encode(hello)
+	}
+	if err != nil {
 		closeAll()
 		return
+	}
+	write := func(fr FeedFrame) error {
+		s.armWrite(conn)
+		if legacy {
+			return enc.Encode(fr.Event)
+		}
+		return enc.Encode(fr)
 	}
 
 	// Tear every subscription down when the peer disconnects, even while
@@ -175,34 +224,36 @@ func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json
 		fwdWG.Wait()
 		close(subsDone)
 	}()
-	interval := s.FeedProgressInterval
-	if interval <= 0 {
-		interval = defaultFeedProgressInterval
-	}
 	var tickWG sync.WaitGroup
-	tickWG.Add(1)
-	go func() {
-		defer tickWG.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-writerDone:
-				return
-			case <-t.C:
-				p := &FeedProgress{Seq: s.Src.Store.Seq(), Cursors: make(map[string]uint64, len(hello.Views))}
-				for _, vh := range hello.Views {
-					c, _ := hub.Cursor(vh.View)
-					p.Cursors[vh.View] = c
-				}
+	if !legacy {
+		interval := s.FeedProgressInterval
+		if interval <= 0 {
+			interval = defaultFeedProgressInterval
+		}
+		tickWG.Add(1)
+		go func() {
+			defer tickWG.Done()
+			t := time.NewTicker(interval)
+			defer t.Stop()
+			for {
 				select {
-				case frames <- FeedFrame{Progress: p}:
 				case <-writerDone:
 					return
+				case <-t.C:
+					p := &FeedProgress{Seq: s.Src.Store.Seq(), Cursors: make(map[string]uint64, len(hello.Views))}
+					for _, vh := range hello.Views {
+						c, _ := hub.Cursor(vh.View)
+						p.Cursors[vh.View] = c
+					}
+					select {
+					case frames <- FeedFrame{Progress: p}:
+					case <-writerDone:
+						return
+					}
 				}
 			}
-		}
-	}()
+		}()
+	}
 	defer func() {
 		close(writerDone)
 		closeAll()
@@ -217,8 +268,7 @@ func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json
 			for {
 				select {
 				case fr := <-frames:
-					s.armWrite(conn)
-					if err := enc.Encode(fr); err != nil {
+					if err := write(fr); err != nil {
 						return
 					}
 				default:
@@ -226,8 +276,7 @@ func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json
 				}
 			}
 		case fr := <-frames:
-			s.armWrite(conn)
-			if err := enc.Encode(fr); err != nil {
+			if err := write(fr); err != nil {
 				return
 			}
 		}
@@ -275,10 +324,11 @@ type MultiFeedClient struct {
 	readTimeout time.Duration
 }
 
-// DialMultiFeed opens a multi-view subscribe-mode connection. Error
-// mapping: an expired resume cursor (without Snapshot) wraps
-// feed.ErrCursorExpired; a server that predates the multi-view protocol
-// is surfaced as ErrUnsupportedRequest.
+// DialMultiFeed opens a subscribe-mode connection; it is the one feed
+// client, whether it follows one view or many. Error mapping: an expired
+// resume cursor (without Snapshot) wraps feed.ErrCursorExpired; a server
+// at its stream cap wraps the retryable ErrOverloaded; a server that
+// predates the multi-view protocol is surfaced as ErrUnsupportedRequest.
 func DialMultiFeed(addr string, req MultiFeedRequest) (*MultiFeedClient, error) {
 	d := net.Dialer{Timeout: req.IOTimeout}
 	conn, err := d.Dial("tcp", addr)
@@ -341,6 +391,9 @@ func DialMultiFeed(addr string, req MultiFeedRequest) (*MultiFeedClient, error) 
 		}
 		if hello.Expired {
 			return nil, &feedExpiredError{msg: "warehouse: " + hello.Err}
+		}
+		if strings.Contains(hello.Err, overloadMarker) {
+			return nil, &overloadedError{msg: "warehouse: " + hello.Err}
 		}
 		return nil, fmt.Errorf("warehouse: %s", hello.Err)
 	}

@@ -127,7 +127,8 @@ func oldFeedServer(t *testing.T, hello string) string {
 // shapes an old server can answer with — the unknown-view error for the
 // empty view name, and (when a view literally named "" exists) a live
 // single-view hello with no per-view state — surface as
-// ErrUnsupportedRequest, so callers can degrade to per-view DialFeed.
+// ErrUnsupportedRequest, so callers can tell a version skew from a real
+// subscription error.
 func TestDialMultiFeedOldServer(t *testing.T) {
 	req := MultiFeedRequest{Views: []string{"*"}, Snapshot: true, IOTimeout: 2 * time.Second}
 

@@ -32,9 +32,10 @@ import (
 //   - "query": request/response pairs, one JSON object per line each way.
 //   - "reports": the server pushes update reports, one JSON object per
 //     line; the client never writes.
-//   - "subscribe": the client sends one feedRequest line naming a view
-//     (and optionally a resume cursor); the server answers a feedHello
-//     and then pushes one feed.Event per line (docs/CHANGEFEED.md).
+//   - "subscribe": the client sends one feedRequest line naming the
+//     views to follow (and optionally resume cursors); the server answers
+//     a feedHello and then pushes one frame per line (multifeed.go,
+//     docs/CHANGEFEED.md).
 //
 // Every response and report carries the source's current sequence number,
 // which feeds the warehouse's interference detection.
@@ -586,17 +587,8 @@ func (s *Server) dispatch(req netRequest) netResponse {
 			return netResponse{Err: err.Error()}
 		}
 		return netResponse{Found: true, Objects: objs}
-	case "query":
-		q, err := query.Parse(req.Query)
-		if err != nil {
-			return netResponse{Err: err.Error()}
-		}
-		objs, err := s.Src.FetchQuery(q)
-		if err != nil {
-			return netResponse{Err: err.Error()}
-		}
-		return netResponse{Found: true, Objects: objs}
-	case "queryat":
+	case "query", "queryat":
+		// A "query" frame carries At == 0: the current version.
 		q, err := query.Parse(req.Query)
 		if err != nil {
 			return netResponse{Err: err.Error()}
@@ -699,35 +691,58 @@ func (s *Server) removeStream(ch chan []byte) {
 }
 
 // feedRequest is the first (and only) frame a subscribe-mode client
-// sends: which view to follow and how.
+// sends: which views to follow and how. It has two forms. The
+// multi-view form sets Views (and Froms); the legacy single-view form
+// sets View (and Resume/From), and the server translates it with
+// normalize before serving it.
 type feedRequest struct {
-	// View names the feed to follow.
+	// View names the feed to follow in the legacy form.
 	View string `json:"view"`
-	// Resume, when true, asks for replay of every event after From.
+	// Resume, in the legacy form, asks for replay of every event after
+	// From.
 	Resume bool `json:"resume,omitempty"`
-	// From is the last cursor the client consumed; meaningful only with
-	// Resume.
+	// From is the legacy form's last consumed cursor; meaningful only
+	// with Resume.
 	From uint64 `json:"from,omitempty"`
 	// Snapshot requests a full-membership snapshot instead of an error
-	// when the resume cursor has been evicted from the replay ring.
+	// when a resume cursor has been evicted from the replay ring, and a
+	// bootstrap snapshot for every view in Views without a Froms entry.
+	// The legacy form only ever meant the former.
 	Snapshot bool `json:"snapshot,omitempty"`
 	// Policy selects the slow-consumer policy ("block", "drop-oldest",
 	// "disconnect"); empty means the hub default.
 	Policy string `json:"policy,omitempty"`
 	// Buffer sizes the per-subscriber channel; 0 means the hub default.
 	Buffer int `json:"buffer,omitempty"`
-	// Views, when non-empty, selects the multi-view subscription mode:
-	// one connection carries every named view's events plus periodic
-	// progress frames (docs/REPLICA.md). ["*"] subscribes to every view
-	// the hub knows. View/Resume/From are ignored; per-view resume
-	// cursors travel in Froms. Old servers ignore this field and answer
-	// a single-view hello for the empty View — clients detect that as a
-	// version mismatch (ErrUnsupportedRequest).
+	// Views, when non-empty, selects the multi-view form: one connection
+	// carries every named view's events plus periodic progress frames
+	// (docs/REPLICA.md). ["*"] subscribes to every view the hub knows.
+	// View/Resume/From are ignored. Old servers ignore this field and
+	// answer a single-view hello for the empty View — clients detect
+	// that as a version mismatch (ErrUnsupportedRequest).
 	Views []string `json:"views,omitempty"`
 	// Froms maps view name to the last cursor the client consumed; a
 	// view listed in Views but absent here tails from the current cursor
 	// (with a full snapshot when Snapshot is set).
 	Froms map[string]uint64 `json:"froms,omitempty"`
+}
+
+// normalize rewrites a legacy single-view request in place into the
+// multi-view form and reports whether it did; a multi-view request is
+// left untouched. The translation keeps the legacy meaning: the resume
+// cursor becomes the view's Froms entry, and Snapshot survives only
+// with Resume, since a legacy snapshot without a resume cursor never
+// returned a bootstrap snapshot.
+func (r *feedRequest) normalize() (legacy bool) {
+	if len(r.Views) > 0 {
+		return false
+	}
+	r.Views, r.Froms = []string{r.View}, nil
+	if r.Resume {
+		r.Froms = map[string]uint64{r.View: r.From}
+	}
+	r.Snapshot = r.Snapshot && r.Resume
+	return true
 }
 
 // FeedSnapshot carries a full view membership when a resume cursor has
@@ -747,8 +762,10 @@ type feedHello struct {
 	// Expired marks Err as a cursor-expiry (feed.ErrCursorExpired), so
 	// clients can distinguish "resubscribe with snapshot" from fatal
 	// errors.
-	Expired bool   `json:"expired,omitempty"`
-	View    string `json:"view,omitempty"`
+	Expired bool `json:"expired,omitempty"`
+	// View, Cursor, Oldest and Snapshot answer legacy single-view
+	// requests only; multi-view hellos carry them per view in Views.
+	View string `json:"view,omitempty"`
 	// Cursor is the feed's current position at subscribe time.
 	Cursor uint64 `json:"cursor"`
 	// Oldest is the oldest cursor still in the replay ring.
@@ -756,197 +773,11 @@ type feedHello struct {
 	// Snapshot is present when the resume cursor was evicted and the
 	// client asked for snapshot fallback.
 	Snapshot *FeedSnapshot `json:"snapshot,omitempty"`
-	// Seq and Views answer multi-view subscriptions (feedRequest.Views):
-	// the primary's base sequence number at subscribe time and one
-	// handshake entry per subscribed view. Single-view subscriptions
-	// leave them empty.
+	// Seq and Views answer multi-view requests: the primary's base
+	// sequence number at subscribe time and one handshake entry per
+	// subscribed view. Legacy hellos leave them empty.
 	Seq   uint64          `json:"seq,omitempty"`
 	Views []FeedViewHello `json:"views,omitempty"`
-}
-
-func (s *Server) handleSubscribe(conn net.Conn, br *bufio.Reader) {
-	enc := json.NewEncoder(conn)
-	s.mu.Lock()
-	hub := s.Feed
-	s.mu.Unlock()
-	if hub == nil {
-		s.armWrite(conn)
-		_ = enc.Encode(feedHello{Err: "warehouse: server has no feed"})
-		return
-	}
-	sc := frameScanner(br)
-	s.armRead(conn)
-	if !sc.Scan() {
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	var req feedRequest
-	if err := decodeFrame(sc.Bytes(), &req); err != nil {
-		s.armWrite(conn)
-		_ = enc.Encode(feedHello{Err: err.Error()})
-		return
-	}
-	if s.Admission != nil {
-		if !s.Admission.AdmitStream() {
-			s.armWrite(conn)
-			_ = enc.Encode(feedHello{Err: ErrOverloaded.Error()})
-			return
-		}
-		defer s.Admission.ReleaseStream()
-	}
-	if len(req.Views) > 0 {
-		s.handleMultiSubscribe(conn, br, enc, hub, req)
-		return
-	}
-	policy, err := feed.ParsePolicy(req.Policy)
-	if err != nil {
-		s.armWrite(conn)
-		_ = enc.Encode(feedHello{Err: err.Error()})
-		return
-	}
-	sub, err := hub.Subscribe(req.View, feed.SubOptions{
-		Resume:           req.Resume,
-		From:             req.From,
-		Buffer:           req.Buffer,
-		Policy:           policy,
-		HasPolicy:        req.Policy != "",
-		SnapshotOnExpire: req.Snapshot,
-	})
-	if err != nil {
-		s.armWrite(conn)
-		_ = enc.Encode(feedHello{Err: err.Error(), Expired: errors.Is(err, feed.ErrCursorExpired)})
-		return
-	}
-	defer sub.Close()
-	s.mu.Lock()
-	select {
-	case <-s.done:
-		s.mu.Unlock()
-		return
-	default:
-	}
-	s.feedSubs = append(s.feedSubs, sub)
-	s.mu.Unlock()
-
-	hello := feedHello{View: req.View}
-	hello.Cursor, _ = hub.Cursor(req.View)
-	hello.Oldest = hub.OldestRetained(req.View)
-	if snap := sub.Snapshot(); snap != nil {
-		hello.Snapshot = &FeedSnapshot{Cursor: snap.Cursor, Members: snap.Members}
-	}
-	s.armWrite(conn)
-	if err := enc.Encode(hello); err != nil {
-		return
-	}
-	// Drain the client side so a peer disconnect tears the subscription
-	// down even while the event loop is idle (or blocked publishing).
-	go func() {
-		_, _ = io.Copy(io.Discard, br)
-		sub.Close()
-	}()
-	for ev := range sub.Events() {
-		s.armWrite(conn)
-		if err := enc.Encode(ev); err != nil {
-			return
-		}
-	}
-}
-
-// FeedRequest configures DialFeed.
-type FeedRequest struct {
-	// View names the feed to follow.
-	View string
-	// Resume asks for replay of every event after From.
-	Resume bool
-	// From is the last cursor consumed; meaningful only with Resume.
-	From uint64
-	// Snapshot requests full-membership fallback when From has been
-	// evicted from the server's replay ring.
-	Snapshot bool
-	// Policy selects the server-side slow-consumer policy ("block",
-	// "drop-oldest", "disconnect"); empty means the server default.
-	Policy string
-	// Buffer sizes the server-side subscriber channel; 0 means default.
-	Buffer int
-}
-
-// FeedClient follows one view's changefeed over TCP (subscribe mode).
-type FeedClient struct {
-	// View is the followed view's name.
-	View string
-	// Cursor was the feed position at subscribe time.
-	Cursor uint64
-	// Oldest was the oldest replayable cursor at subscribe time.
-	Oldest uint64
-	// Snapshot is non-nil when the server answered a resume with a full
-	// membership snapshot (the requested cursor had expired).
-	Snapshot *FeedSnapshot
-
-	conn net.Conn
-	sc   *bufio.Scanner
-}
-
-// DialFeed opens a subscribe-mode connection for one view. When the
-// server reports that the resume cursor has expired and no snapshot was
-// requested, the returned error wraps feed.ErrCursorExpired so callers
-// can retry with FeedRequest.Snapshot set.
-func DialFeed(addr string, req FeedRequest) (*FeedClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := io.WriteString(conn, "subscribe\n"); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	frame, err := json.Marshal(feedRequest{
-		View:     req.View,
-		Resume:   req.Resume,
-		From:     req.From,
-		Snapshot: req.Snapshot,
-		Policy:   req.Policy,
-		Buffer:   req.Buffer,
-	})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if _, err := conn.Write(append(frame, '\n')); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	sc := frameScanner(conn)
-	if !sc.Scan() {
-		conn.Close()
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("warehouse: feed handshake: %w", err)
-		}
-		return nil, errors.New("warehouse: feed handshake: connection closed")
-	}
-	var hello feedHello
-	if err := decodeFrame(sc.Bytes(), &hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if hello.Err != "" {
-		conn.Close()
-		// hello.Err already carries the hub's "feed: ..." prefix.
-		if hello.Expired {
-			return nil, &feedExpiredError{msg: "warehouse: " + hello.Err}
-		}
-		if strings.Contains(hello.Err, overloadMarker) {
-			return nil, &overloadedError{msg: "warehouse: " + hello.Err}
-		}
-		return nil, fmt.Errorf("warehouse: %s", hello.Err)
-	}
-	return &FeedClient{
-		View:     hello.View,
-		Cursor:   hello.Cursor,
-		Oldest:   hello.Oldest,
-		Snapshot: hello.Snapshot,
-		conn:     conn,
-		sc:       sc,
-	}, nil
 }
 
 // feedExpiredError carries the server's expired-cursor message while
@@ -956,29 +787,6 @@ type feedExpiredError struct{ msg string }
 
 func (e *feedExpiredError) Error() string { return e.msg }
 func (e *feedExpiredError) Unwrap() error { return feed.ErrCursorExpired }
-
-// Next blocks for the next event. It returns io.EOF when the server
-// closes the stream.
-func (fc *FeedClient) Next() (feed.Event, error) {
-	for fc.sc.Scan() {
-		line := fc.sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var ev feed.Event
-		if err := decodeFrame(line, &ev); err != nil {
-			return feed.Event{}, err
-		}
-		return ev, nil
-	}
-	if err := fc.sc.Err(); err != nil {
-		return feed.Event{}, err
-	}
-	return feed.Event{}, io.EOF
-}
-
-// Close disconnects the feed.
-func (fc *FeedClient) Close() { _ = fc.conn.Close() }
 
 // DialOptions configures the fault tolerance of a RemoteSource.
 type DialOptions struct {

@@ -32,7 +32,7 @@ import (
 //
 // Everything here is old-client compatible: sheds travel as ordinary
 // error strings carrying a recognizable marker, which new clients
-// (RemoteSource, DialFeed) map back to the typed sentinel.
+// (RemoteSource, DialMultiFeed) map back to the typed sentinel.
 
 // ErrOverloaded is the typed retryable shed error: the server refused
 // the request because it is at capacity (admission queue full or wait
