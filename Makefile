@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos shard-chaos crash cover bench bench-query bench-json bench-parallel bench-mvcc bench-overload bench-gate experiments examples fuzz fmt vet ci demo-feed demo-replica trace-smoke overload-smoke clean
+.PHONY: all build test race chaos shard-chaos crash cover bench bench-query bench-store bench-json bench-parallel bench-mvcc bench-overload bench-gate experiments examples fuzz fmt vet ci demo-feed demo-replica trace-smoke overload-smoke clean
 
 all: build vet test
 
@@ -15,6 +15,7 @@ ci:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench 'BenchmarkEval(ConstPath|Wildcard)$$' -benchtime 1x ./internal/query/
+	$(GO) test -run '^$$' -bench 'BenchmarkStore(Load|Save)$$' -benchtime 1x ./internal/store/
 	$(MAKE) trace-smoke
 	$(MAKE) overload-smoke
 	$(MAKE) shard-chaos
@@ -68,6 +69,13 @@ bench:
 # iteration so they keep compiling and running.
 bench-query:
 	$(GO) test -run '^$$' -bench 'BenchmarkEval(ConstPath|Wildcard)$$' -benchmem ./internal/query/
+
+# Snapshot benchmarks over a 4x2000x5 RelationLike store (~48k objects):
+# Store.Load's in-place bulk build and Store.Save's clone-free walk, the
+# two halves of every checkpoint (docs/DURABILITY.md). CI's test job runs
+# them for one iteration so they keep compiling and running.
+bench-store:
+	$(GO) test -run '^$$' -bench 'BenchmarkStore(Load|Save)$$' -benchmem ./internal/store/
 
 # Machine-readable benchmark report: experiment tables plus the E1
 # maintenance micro-benchmarks, written to BENCH_<timestamp>.json

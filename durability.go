@@ -83,6 +83,7 @@ func openDurable(c *openConfig, db *DB) (*DB, error) {
 		return nil, err
 	}
 	var replayFrom uint64
+	prepopulated := ckpt == nil && db.Store.Len() != 0
 	if ckpt != nil {
 		if db.Store.Len() != 0 {
 			mgr.Close()
@@ -101,9 +102,6 @@ func openDurable(c *openConfig, db *DB) (*DB, error) {
 		mgr.Close()
 		return nil, fmt.Errorf("gsv: durability dir %s has WAL records but no checkpoint and the store is not empty", c.durDir)
 	}
-	// Discard the Create updates the snapshot load just buffered: they
-	// are already reflected in the restored state, not new base work.
-	db.Views.SkipThrough(db.Store.Seq())
 	db.extraSeq = db.Store.Seq()
 
 	// Replay the tail. Each record is re-applied through the store (so
@@ -150,6 +148,16 @@ func openDurable(c *openConfig, db *DB) (*DB, error) {
 	db.Store.Subscribe(d.buf.Observe)
 	metrics.Recoveries.Inc()
 	metrics.RecoverySeconds.ObserveSince(start)
+	// A store handed in already populated (WithStore) over a directory
+	// with no state has nothing durable yet: its objects predate the WAL
+	// subscription. Checkpoint it now, or a crash before the first
+	// automatic checkpoint would recover an empty database.
+	if prepopulated {
+		if err := d.checkpoint(db); err != nil {
+			mgr.Close()
+			return nil, fmt.Errorf("gsv: initial checkpoint: %w", err)
+		}
+	}
 	return db, nil
 }
 

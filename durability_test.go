@@ -9,6 +9,7 @@ import (
 	"gsv"
 	"gsv/internal/faults"
 	"gsv/internal/oem"
+	"gsv/internal/store"
 	"gsv/internal/wal"
 	"gsv/internal/workload"
 )
@@ -96,6 +97,43 @@ func TestDurableRestartWithoutCheckpointTail(t *testing.T) {
 	if len(got) != 9 {
 		t.Fatalf("recovered query returned %d members: %v", len(got), got)
 	}
+}
+
+// TestDurableOpenPopulatedStoreSurvivesCrash opens a durable DB over a
+// store that is already populated and crashes it before any checkpoint or
+// update: the pre-existing objects never passed through the WAL, so only
+// the checkpoint written at open can bring them back.
+func TestDurableOpenPopulatedStoreSurvivesCrash(t *testing.T) {
+	s := store.NewDefault()
+	workload.PersonDB(s)
+	dir := t.TempDir()
+	db := openDurable(t, dir, gsv.WithStore(s))
+	// One update after open lives only in the WAL tail.
+	if err := db.Modify("A1", gsv.Int(46)); err != nil {
+		t.Fatal(err)
+	}
+	db.Sync()
+	want := storeObjects(t, db.Store)
+	// Simulated crash: drop the DB without Close.
+	db2 := openDurable(t, dir)
+	defer db2.Close()
+	got := storeObjects(t, db2.Store)
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d objects, want %d", len(got), len(want))
+	}
+	for oid, o := range want {
+		if r, ok := got[oid]; !ok || !r.Equal(o) {
+			t.Fatalf("recovered %s = %v, want %v", oid, r, o)
+		}
+	}
+}
+
+// storeObjects copies every object of s, keyed by OID.
+func storeObjects(t *testing.T, s *store.Store) map[gsv.OID]*oem.Object {
+	t.Helper()
+	out := map[gsv.OID]*oem.Object{}
+	s.ForEach(func(o *oem.Object) { out[o.OID] = o })
+	return out
 }
 
 func TestDurableOIDCountersSurviveRestart(t *testing.T) {

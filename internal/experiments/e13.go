@@ -68,12 +68,14 @@ func E13CrashRecovery(cfg Config) *Table {
 			panic(err)
 		}
 
-		// Live phase: durable DB, fixture, views, half the stream, an
-		// explicit checkpoint, the other half (WAL tail only), crash.
-		// 128 KiB segments so the mid-stream checkpoint can truncate the
-		// fixture-load history: with one giant segment nothing is ever
-		// obsolete and recovery would re-scan the whole log.
+		// Live phase: durable DB over the fixture, views, half the
+		// stream, an explicit checkpoint, the other half (WAL tail
+		// only), crash. Opening durable over the populated fixture
+		// writes the initial checkpoint. 128 KiB segments so the
+		// mid-stream checkpoint can truncate the log behind it.
+		s, sets, atoms := e12Fixture(tuples, cfg.Seed)
 		db, err := gsv.TryOpen(
+			gsv.WithStore(s),
 			gsv.WithDurability(dir, gsv.SyncNever),
 			gsv.WithSegmentBytes(128<<10),
 			gsv.WithCheckpointEvery(1<<30), // only the explicit mid-stream checkpoint
@@ -81,17 +83,6 @@ func E13CrashRecovery(cfg Config) *Table {
 		if err != nil {
 			panic(err)
 		}
-		s, sets, atoms := e12Fixture(tuples, cfg.Seed)
-		var base bytes.Buffer
-		if err := s.Save(&base); err != nil {
-			panic(err)
-		}
-		// The durable store starts empty; replay the fixture into it so
-		// every base object passes through the WAL subscription.
-		if err := db.Store.Load(bytes.NewReader(base.Bytes())); err != nil {
-			panic(err)
-		}
-		db.Sync()
 		for _, v := range e12Views {
 			if _, err := db.Define(v.stmt); err != nil {
 				panic(err)

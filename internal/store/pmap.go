@@ -9,7 +9,9 @@ import (
 // a new map that shares all unchanged branches with its receiver, so the
 // MVCC store can publish a fresh version per committed mutation while
 // copying only the O(log n) path from the root to the touched leaf.
-// A nil *pmap is the empty map; all methods are nil-safe.
+// A nil *pmap is the empty map; all methods but setOwned are nil-safe.
+// setOwned is the one in-place mutation, for building a map nobody else
+// can see yet.
 //
 // pmap is not safe for concurrent mutation, but any number of goroutines
 // may read any number of versions concurrently without synchronization:
@@ -112,6 +114,19 @@ func (m *pmap[V]) With(key string, val V) *pmap[V] {
 	return &pmap[V]{root: nroot, size: size + added}
 }
 
+// setOwned binds key to val by mutating the receiver's nodes in place and
+// reports whether the key was new. It is the transient half of a bulk
+// build (Store.Load): legal only while the caller alone owns m and every
+// node under it — before any version, snapshot or other map has been
+// given m or derived from it by With/Without. Once m is shared, only the
+// path-copying With/Without may touch it. m must be non-nil.
+func (m *pmap[V]) setOwned(key string, val V) bool {
+	var added int
+	m.root, added = nodeSetOwned(m.root, 0, pmapHash(key), key, val)
+	m.size += added
+	return added == 1
+}
+
 // Without returns a map with key removed, leaving the receiver unchanged.
 // Removing an absent key returns the receiver itself.
 func (m *pmap[V]) Without(key string) *pmap[V] {
@@ -204,6 +219,50 @@ func nodeWith[V any](n *pnode[V], depth int, h uint64, key string, val V) (*pnod
 	copy(es, n.entries)
 	es[idx] = ne
 	return &pnode[V]{bitmap: n.bitmap, entries: es}, added
+}
+
+// nodeSetOwned is nodeWith for an unshared subtree: it binds key to val in
+// n itself (allocating only new nodes and grown entry slices) and returns
+// n, or a fresh node when n is nil, plus 1 if the key was new.
+func nodeSetOwned[V any](n *pnode[V], depth int, h uint64, key string, val V) (*pnode[V], int) {
+	if n == nil {
+		return nodeWith[V](nil, depth, h, key, val)
+	}
+	if depth >= pmapDepth {
+		for i := range n.entries {
+			if n.entries[i].key == key {
+				n.entries[i].val = val
+				return n, 0
+			}
+		}
+		n.entries = append(n.entries, pentry[V]{key: key, val: val})
+		return n, 1
+	}
+	bit := uint64(1) << ((h >> (uint(depth) * pmapBits)) & pmapMask)
+	idx := bits.OnesCount64(n.bitmap & (bit - 1))
+	if n.bitmap&bit == 0 {
+		n.entries = append(n.entries, pentry[V]{})
+		copy(n.entries[idx+1:], n.entries[idx:])
+		n.entries[idx] = pentry[V]{key: key, val: val}
+		n.bitmap |= bit
+		return n, 1
+	}
+	e := &n.entries[idx]
+	switch {
+	case e.child != nil:
+		var added int
+		e.child, added = nodeSetOwned(e.child, depth+1, h, key, val)
+		return n, added
+	case e.key == key:
+		e.val = val
+		return n, 0
+	default:
+		// Push the existing leaf one level down, as nodeWith does.
+		child, _ := nodeWith[V](nil, depth+1, pmapHash(e.key), e.key, e.val)
+		child, _ = nodeSetOwned(child, depth+1, h, key, val)
+		*e = pentry[V]{child: child}
+		return n, 1
+	}
 }
 
 // nodeWithout returns a copy of n with key removed (nil if it empties), and

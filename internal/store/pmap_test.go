@@ -106,3 +106,77 @@ func TestPmapRangeEarlyStop(t *testing.T) {
 		t.Fatalf("Range visited %d entries, want 10", n)
 	}
 }
+
+// TestPmapSetOwnedAgainstWith builds one map with the in-place setOwned
+// and another with the path-copying With from the same random stream,
+// repeated keys included, and checks that they agree entry for entry and
+// in iteration order (the trie shape depends only on the key set). It
+// then shares the owned-built map and derives from it with With/Without,
+// which must leave it frozen.
+func TestPmapSetOwnedAgainstWith(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	owned := &pmap[int]{}
+	var ref *pmap[int]
+	model := map[string]int{}
+	for step := 0; step < 30000; step++ {
+		key := fmt.Sprintf("k%d", rng.Intn(20000))
+		_, had := model[key]
+		if added := owned.setOwned(key, step); added == had {
+			t.Fatalf("step %d: setOwned(%s) added=%v, key present before=%v", step, key, added, had)
+		}
+		ref = ref.With(key, step)
+		model[key] = step
+	}
+	if owned.Len() != len(model) || ref.Len() != len(model) {
+		t.Fatalf("Len: owned %d, With %d, model %d", owned.Len(), ref.Len(), len(model))
+	}
+	type kv struct {
+		k string
+		v int
+	}
+	entries := func(m *pmap[int]) []kv {
+		var out []kv
+		m.Range(func(k string, v int) bool {
+			out = append(out, kv{k, v})
+			return true
+		})
+		return out
+	}
+	got, want := entries(owned), entries(ref)
+	if len(got) != len(want) {
+		t.Fatalf("Range: owned %d entries, With %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("Range entry %d: owned %v, With %v", i, got[i], want[i])
+		}
+	}
+	for k, v := range model {
+		if gv, ok := owned.Get(k); !ok || gv != v {
+			t.Fatalf("owned Get(%s) = %d,%v want %d", k, gv, ok, v)
+		}
+	}
+	if owned.Has("absent") {
+		t.Fatal("owned map has a key never set")
+	}
+
+	// Once shared, the owned-built map is persistent like any other.
+	m := owned
+	for i := 0; i < 2000; i++ {
+		key := fmt.Sprintf("k%d", rng.Intn(25000))
+		if rng.Intn(2) == 0 {
+			m = m.With(key, -i)
+		} else {
+			m = m.Without(key)
+		}
+	}
+	after := entries(owned)
+	if len(after) != len(got) || owned.Len() != len(got) {
+		t.Fatalf("derived With/Without resized the owned-built map: %d entries, Len %d, was %d", len(after), owned.Len(), len(got))
+	}
+	for i := range after {
+		if after[i] != got[i] {
+			t.Fatalf("derived With/Without changed the owned-built map at entry %d: %v, was %v", i, after[i], got[i])
+		}
+	}
+}

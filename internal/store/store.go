@@ -240,22 +240,6 @@ func (s *Store) Counters() (seq, genSeq uint64) {
 	return s.cur.Load().seq, s.genSeq
 }
 
-// restoreCounters advances the counters to at least the given values. It
-// never moves a counter backwards: loading a snapshot emits one Create
-// update per object, and the restored sequence must dominate those too.
-func (s *Store) restoreCounters(seq, genSeq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v := s.cur.Load(); seq > v.seq {
-		next := v.next()
-		next.seq = seq
-		s.publishLocked(next)
-	}
-	if genSeq > s.genSeq {
-		s.genSeq = genSeq
-	}
-}
-
 // AdvanceSeq raises the update sequence counter to at least seq, without
 // emitting anything. Recovery calls it after WAL replay so that future
 // updates are always assigned numbers above everything the durable log

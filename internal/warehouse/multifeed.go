@@ -392,10 +392,7 @@ func DialMultiFeed(addr string, req MultiFeedRequest) (*MultiFeedClient, error) 
 		if hello.Expired {
 			return nil, &feedExpiredError{msg: "warehouse: " + hello.Err}
 		}
-		if strings.Contains(hello.Err, overloadMarker) {
-			return nil, &overloadedError{msg: "warehouse: " + hello.Err}
-		}
-		return nil, fmt.Errorf("warehouse: %s", hello.Err)
+		return nil, remoteError(hello.Err)
 	}
 	if len(hello.Views) == 0 {
 		// An old server can also answer a live single-view hello for a

@@ -67,13 +67,16 @@ func (e *overloadedError) Error() string { return e.msg }
 func (e *overloadedError) Unwrap() error { return ErrOverloaded }
 
 // remoteError turns a server-side error string into the client-side
-// error for a query-mode response, restoring the ErrOverloaded
-// sentinel when the string carries the shed marker.
+// error for a query-mode response or a refused feed handshake,
+// restoring the ErrOverloaded sentinel when the string carries the shed
+// marker. A server-rendered "warehouse: " prefix is dropped, so the
+// client's "warehouse: remote: " appears once.
 func remoteError(errStr string) error {
+	msg := "warehouse: remote: " + strings.TrimPrefix(errStr, "warehouse: ")
 	if strings.Contains(errStr, overloadMarker) {
-		return &overloadedError{msg: "warehouse: remote: " + errStr}
+		return &overloadedError{msg: msg}
 	}
-	return fmt.Errorf("warehouse: remote: %s", errStr)
+	return errors.New(msg)
 }
 
 // OpClass buckets query-mode ops for admission control.

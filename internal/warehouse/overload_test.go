@@ -418,6 +418,11 @@ func TestFeedSubscribeStreamCap(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second subscription = %v, want ErrOverloaded", err)
 	}
+	// One error format across protocols: the same rendering as a shed
+	// query-mode response, with the "warehouse:" prefix once.
+	if want := "warehouse: remote: overloaded (retryable)"; err.Error() != want {
+		t.Fatalf("second subscription error = %q, want %q", err.Error(), want)
+	}
 	if ac.ShedStreams.Value() == 0 {
 		t.Fatal("ShedStreams not counted")
 	}
